@@ -204,8 +204,9 @@ impl ObjectStore {
 
     fn charge_get(&self, key: &str, len: u64) {
         let first = {
+            // Allocate the key only on an object's first read.
             let mut state = self.state.lock();
-            state.read_before.insert(key.to_string())
+            !state.read_before.contains(key) && state.read_before.insert(key.to_string())
         };
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_read.fetch_add(len, Ordering::Relaxed);

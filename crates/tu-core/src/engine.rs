@@ -1,8 +1,8 @@
 //! The TimeUnion engine: open/put/get/retention/recovery (§3.4).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tu_common::lockdep::{self, Mutex};
@@ -136,6 +136,18 @@ impl MemoryStats {
     }
 }
 
+/// Chunks of one id from the batched tree read, `(start_ts, bytes)` in
+/// key order.
+type Chunks = Vec<(Timestamp, Vec<u8>)>;
+
+/// The in-memory part of one matched id, read before the batched tree
+/// read: a series' labels and head samples, or a group's matched members
+/// (slot and full labels) with each member's head samples.
+enum Source {
+    Series(Labels, Vec<Sample>),
+    Group(Vec<(SeriesRef, Labels)>, Vec<Vec<(Timestamp, Value)>>),
+}
+
 struct PendingCheckpoint {
     stream: u64,
     seq: u64,
@@ -145,6 +157,69 @@ struct PendingCheckpoint {
 /// Pending checkpoints past this mark flag the `flush_backlog` health
 /// check as degraded: maintenance is falling behind ingest.
 const PENDING_CKPT_DEGRADED: usize = 1 << 16;
+
+/// The fan-out widths of every open engine in the process, published as
+/// one gauge. Each engine owns its width; several engines can share a
+/// process (the self-monitor's embedded engine, tests, benchmarks), so
+/// none of them may simply `set` the gauge, or the last writer would
+/// hide the others. The gauge reports the widest open engine, and a
+/// dropped engine stops counting.
+struct PoolWidths {
+    gauge: fn() -> &'static tu_obs::Gauge,
+    /// Open engines per width.
+    engines: Mutex<BTreeMap<usize, usize>>,
+}
+
+static QUERY_WIDTHS: PoolWidths = PoolWidths::new(|| tu_obs::gauge("core.query.parallel.threads"));
+static INGEST_WIDTHS: PoolWidths =
+    PoolWidths::new(|| tu_obs::gauge("core.ingest.parallel.threads"));
+
+impl PoolWidths {
+    const fn new(gauge: fn() -> &'static tu_obs::Gauge) -> Self {
+        PoolWidths {
+            gauge,
+            engines: Mutex::new(&lockdep::CORE_POOL_WIDTHS, BTreeMap::new()),
+        }
+    }
+
+    /// Counts a newly opened engine of the given width.
+    fn open(&self, width: usize) {
+        let mut engines = self.engines.lock();
+        *engines.entry(width).or_insert(0) += 1;
+        self.publish(&engines);
+    }
+
+    /// Stores `to` in an open engine's `width`. The swap happens under
+    /// the lock so concurrent calls on one engine cannot miscount.
+    fn set(&self, width: &AtomicUsize, to: usize) {
+        let mut engines = self.engines.lock();
+        let from = width.swap(to, Ordering::Relaxed);
+        Self::remove(&mut engines, from);
+        *engines.entry(to).or_insert(0) += 1;
+        self.publish(&engines);
+    }
+
+    /// Stops counting a dropped engine of the given width.
+    fn close(&self, width: usize) {
+        let mut engines = self.engines.lock();
+        Self::remove(&mut engines, width);
+        self.publish(&engines);
+    }
+
+    fn remove(engines: &mut BTreeMap<usize, usize>, width: usize) {
+        if let Some(n) = engines.get_mut(&width) {
+            *n -= 1;
+            if *n == 0 {
+                engines.remove(&width);
+            }
+        }
+    }
+
+    fn publish(&self, engines: &BTreeMap<usize, usize>) {
+        let widest = engines.keys().next_back().copied().unwrap_or(0);
+        (self.gauge)().set(widest as i64);
+    }
+}
 
 /// The TimeUnion timeseries engine.
 pub struct TimeUnion {
@@ -187,9 +262,9 @@ pub struct TimeUnion {
     serve: Mutex<Option<ServePlane>>,
     /// Resolved query fan-out width; runtime-adjustable so benchmarks can
     /// sweep thread counts against one engine instance.
-    query_threads: std::sync::atomic::AtomicUsize,
+    query_threads: AtomicUsize,
     /// Resolved ingest fan-out width for [`TimeUnion::put_batch`].
-    ingest_threads: std::sync::atomic::AtomicUsize,
+    ingest_threads: AtomicUsize,
     /// Serializes maintenance passes: concurrent ingest workers may seal
     /// memtables simultaneously, but only one thread at a time may run the
     /// flush/compact/checkpoint pipeline.
@@ -316,10 +391,10 @@ impl TimeUnion {
             worker: Mutex::new(&lockdep::ENGINE_WORKER, None),
             selfmon: Mutex::new(&lockdep::ENGINE_SELFMON, None),
             serve: Mutex::new(&lockdep::ENGINE_SERVE, None),
-            query_threads: std::sync::atomic::AtomicUsize::new(
+            query_threads: AtomicUsize::new(
                 tu_common::pool::WorkerPool::resolve(opts.query_threads).threads(),
             ),
-            ingest_threads: std::sync::atomic::AtomicUsize::new(
+            ingest_threads: AtomicUsize::new(
                 tu_common::pool::WorkerPool::resolve_env(
                     tu_common::pool::INGEST_THREADS_ENV,
                     opts.ingest_threads,
@@ -330,10 +405,8 @@ impl TimeUnion {
             obs: EngineObs::resolve(),
             opts,
         };
-        tu_obs::gauge("core.query.parallel.threads")
-            .set(engine.query_threads.load(Ordering::Relaxed) as i64);
-        tu_obs::gauge("core.ingest.parallel.threads")
-            .set(engine.ingest_threads.load(Ordering::Relaxed) as i64);
+        QUERY_WIDTHS.open(engine.query_threads.load(Ordering::Relaxed));
+        INGEST_WIDTHS.open(engine.ingest_threads.load(Ordering::Relaxed));
         // Partition heat timestamps follow the engine clock, so
         // last-access and decay windows line up with query time ranges
         // in tests and simulations driven by a virtual clock.
@@ -883,9 +956,7 @@ impl TimeUnion {
     /// on the next `put_batch` call; thread count never changes the
     /// resulting on-disk state.
     pub fn set_ingest_threads(&self, threads: usize) {
-        let n = threads.max(1);
-        self.ingest_threads.store(n, Ordering::Relaxed);
-        tu_obs::gauge("core.ingest.parallel.threads").set(n as i64);
+        INGEST_WIDTHS.set(&self.ingest_threads, threads.max(1));
     }
 
     /// The current ingest fan-out width.
@@ -1406,6 +1477,28 @@ impl TimeUnion {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<(QueryResult, usize)> {
+        self.execute(selectors, start, end, |id, source, chunks| match source {
+            Source::Series(labels, head) => self.query_series(id, labels, head, chunks, start, end),
+            Source::Group(matched, heads) => {
+                self.query_group(id, matched, heads, chunks, start, end)
+            }
+        })
+    }
+
+    /// The plan both query executors share: index select, the batched
+    /// source read, `op` per matched id on the query pool, then a sort by
+    /// label bytes — an injective key, so the output is the same at every
+    /// pool width. Returns the rows and how many ids the index matched.
+    fn execute<F>(
+        &self,
+        selectors: &[Selector],
+        start: Timestamp,
+        end: Timestamp,
+        op: F,
+    ) -> Result<(QueryResult, usize)>
+    where
+        F: Fn(u64, &Source, &[(Timestamp, Vec<u8>)]) -> Result<Vec<SeriesResult>> + Sync,
+    {
         self.obs.queries.inc();
         let _span = tu_obs::span("core.query");
         let ids = {
@@ -1419,13 +1512,10 @@ impl TimeUnion {
         }
         let per_id = {
             let _stage = tu_obs::span("core.query.fanout");
-            pool.run(ids.len(), |i| {
-                let id = ids[i];
-                if is_group_id(id) {
-                    self.query_group(id, selectors, start, end)
-                } else {
-                    self.query_series(id, start, end)
-                }
+            let sources = self.read_sources(&ids, selectors, start, end, &pool)?;
+            pool.run(sources.len(), |i| {
+                let (id, source, chunks) = &sources[i];
+                op(*id, source, chunks)
             })
         };
         let _stage = tu_obs::span("core.query.sort");
@@ -1440,9 +1530,7 @@ impl TimeUnion {
     /// Sets the query fan-out width (clamped to at least 1). Takes effect
     /// on the next `query` call; thread count never changes results.
     pub fn set_query_threads(&self, threads: usize) {
-        let n = threads.max(1);
-        self.query_threads.store(n, Ordering::Relaxed);
-        tu_obs::gauge("core.query.parallel.threads").set(n as i64);
+        QUERY_WIDTHS.set(&self.query_threads, threads.max(1));
     }
 
     /// The current query fan-out width.
@@ -1454,30 +1542,97 @@ impl TimeUnion {
         self.max_chunk_span.load(Ordering::Relaxed) + 1
     }
 
+    /// The source stage of both query executors: reads every matched
+    /// id's in-memory part, then the chunks of all the ids that need any
+    /// with one batched tree read, its per-table work on `pool`.
+    fn read_sources(
+        &self,
+        ids: &[u64],
+        selectors: &[Selector],
+        start: Timestamp,
+        end: Timestamp,
+        pool: &tu_common::pool::WorkerPool,
+    ) -> Result<Vec<(u64, Source, Chunks)>> {
+        // Heads first, tree second. A writer sealing a head chunk resets
+        // the head under the object lock and puts the chunk into the tree
+        // only after releasing it, so for a moment the chunk is in
+        // neither place. In this order a query misses it only if both of
+        // its reads fall inside that moment. In the other order any seal
+        // between the two reads is missed, and the batched read puts the
+        // whole tree read between them.
+        let mut planned: Vec<(u64, Source)> = Vec::with_capacity(ids.len());
+        for &id in ids {
+            if let Some(source) = self.read_source(id, selectors)? {
+                planned.push((id, source));
+            }
+        }
+        let read_ids: Vec<u64> = planned.iter().map(|(id, _)| *id).collect();
+        let from = start.saturating_sub(self.query_slack());
+        let chunks = self.tree.range_chunks_batch(&read_ids, from, end, pool)?;
+        Ok(planned
+            .into_iter()
+            .zip(chunks)
+            .map(|((id, source), chunks)| (id, source, chunks))
+            .collect())
+    }
+
+    /// The in-memory part of `id`, or `None` when it needs no read: a
+    /// series purged between index lookup and here, or a group none of
+    /// whose members match every selector.
+    fn read_source(&self, id: u64, selectors: &[Selector]) -> Result<Option<Source>> {
+        if !is_group_id(id) {
+            let Some(obj) = self.series.get(&id) else {
+                return Ok(None);
+            };
+            let o = obj.lock();
+            let head = o.head_samples(&self.series_arena)?;
+            return Ok(Some(Source::Series(o.labels.clone(), head)));
+        }
+        let Some(obj) = self.groups.get(&id) else {
+            return Ok(None);
+        };
+        let g = obj.lock();
+        // Second-level index: which members match every selector?
+        let matched: Vec<(SeriesRef, Labels)> = g
+            .members()
+            .filter_map(|(slot, unique)| {
+                let full = g.group_tags.merge(unique);
+                let ok = selectors
+                    .iter()
+                    .all(|sel| full.get(&sel.key).is_some_and(|v| sel.matches_value(v)));
+                ok.then(|| (slot, full))
+            })
+            .collect();
+        if matched.is_empty() {
+            return Ok(None);
+        }
+        let heads = matched
+            .iter()
+            .map(|(slot, _)| g.head_samples_of(&self.group_ts_arena, &self.group_val_arena, *slot))
+            .collect::<Result<_>>()?;
+        Ok(Some(Source::Group(matched, heads)))
+    }
+
     fn query_series(
         &self,
         id: SeriesId,
+        labels: &Labels,
+        head: &[Sample],
+        chunks: &[(Timestamp, Vec<u8>)],
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<SeriesResult>> {
-        let Some(obj) = self.series.get(&id) else {
-            return Ok(Vec::new()); // purged between index lookup and here
-        };
         let mut merger = SampleMerger::new(start, end);
-        let from = start.saturating_sub(self.query_slack());
-        for (_, chunk) in self.tree.range_chunks(id, from, end)? {
-            merger.offer_all(gorilla::decompress_chunk(&chunk)?);
+        for (_, chunk) in chunks {
+            merger.offer_all(gorilla::decompress_chunk(chunk)?);
         }
-        let o = obj.lock();
-        merger.offer_all(o.head_samples(&self.series_arena)?);
-        let labels = o.labels.clone();
-        drop(o);
+        merger.offer_all(head.iter().copied());
         if merger.is_empty() {
             return Ok(Vec::new());
         }
         Ok(vec![SeriesResult {
             id,
-            labels,
+            labels: labels.clone(),
             samples: merger.finish(),
         }])
     }
@@ -1485,40 +1640,17 @@ impl TimeUnion {
     fn query_group(
         &self,
         gid: GroupId,
-        selectors: &[Selector],
+        matched: &[(SeriesRef, Labels)],
+        heads: &[Vec<(Timestamp, Value)>],
+        chunks: &[(Timestamp, Vec<u8>)],
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<SeriesResult>> {
-        let mut out = Vec::new();
-        let Some(obj) = self.groups.get(&gid) else {
-            return Ok(out);
-        };
-        // Second-level index: which members match every selector?
-        let (matched, group_tags): (Vec<(SeriesRef, Labels)>, Labels) = {
-            let g = obj.lock();
-            let matched = g
-                .members()
-                .filter_map(|(slot, unique)| {
-                    let full = g.group_tags.merge(unique);
-                    let ok = selectors
-                        .iter()
-                        .all(|sel| full.get(&sel.key).is_some_and(|v| sel.matches_value(v)));
-                    ok.then(|| (slot, full))
-                })
-                .collect();
-            (matched, g.group_tags.clone())
-        };
-        let _ = group_tags;
-        if matched.is_empty() {
-            return Ok(out);
-        }
-        let from = start.saturating_sub(self.query_slack());
-        let chunks = self.tree.range_chunks(gid, from, end)?;
         let mut mergers: Vec<SampleMerger> = matched
             .iter()
             .map(|_| SampleMerger::new(start, end))
             .collect();
-        for (_, chunk) in &chunks {
+        for (_, chunk) in chunks {
             let dec = nullxor::GroupChunkDecoder::new(chunk)?;
             let ts = dec.decode_timestamps()?;
             for (mi, (slot, _)) in matched.iter().enumerate() {
@@ -1532,21 +1664,17 @@ impl TimeUnion {
                 }
             }
         }
-        {
-            let g = obj.lock();
-            for (mi, (slot, _)) in matched.iter().enumerate() {
-                for (t, v) in
-                    g.head_samples_of(&self.group_ts_arena, &self.group_val_arena, *slot)?
-                {
-                    mergers[mi].offer(t, v);
-                }
+        for (merger, head) in mergers.iter_mut().zip(heads) {
+            for &(t, v) in head {
+                merger.offer(t, v);
             }
         }
-        for ((_, full), merger) in matched.into_iter().zip(mergers) {
+        let mut out = Vec::new();
+        for ((_, full), merger) in matched.iter().zip(mergers) {
             if !merger.is_empty() {
                 out.push(SeriesResult {
                     id: gid,
-                    labels: full,
+                    labels: full.clone(),
                     samples: merger.finish(),
                 });
             }
@@ -1610,9 +1738,8 @@ impl TimeUnion {
         Ok((out, profile))
     }
 
-    /// Shared body of `query_aggregate`/`query_aggregate_profiled`,
-    /// mirroring `query_exec`: same index select, same parallel fan-out,
-    /// same label-byte sort.
+    /// Shared body of `query_aggregate`/`query_aggregate_profiled`: the
+    /// same plan as `query_exec` with the aggregating operators.
     fn query_aggregate_exec(
         &self,
         selectors: &[Selector],
@@ -1624,35 +1751,14 @@ impl TimeUnion {
         if step_ms <= 0 {
             return Err(Error::invalid("aggregation step must be positive"));
         }
-        self.obs.queries.inc();
-        let _span = tu_obs::span("core.query");
-        let ids = {
-            let _stage = tu_obs::span("core.query.select");
-            self.index.select(selectors)?
-        };
-        let pool = tu_common::pool::WorkerPool::new(self.query_threads.load(Ordering::Relaxed));
-        if pool.threads() > 1 && ids.len() > 1 {
-            self.obs.parallel_queries.inc();
-            self.obs.parallel_tasks.add(ids.len() as u64);
-        }
-        let per_id = {
-            let _stage = tu_obs::span("core.query.fanout");
-            pool.run(ids.len(), |i| {
-                let id = ids[i];
-                if is_group_id(id) {
-                    self.aggregate_group(id, selectors, kind, start, end, step_ms)
-                } else {
-                    self.aggregate_series(id, kind, start, end, step_ms)
-                }
-            })
-        };
-        let _stage = tu_obs::span("core.query.sort");
-        let mut out: QueryResult = Vec::new();
-        for r in per_id {
-            out.extend(r?);
-        }
-        out.sort_by_cached_key(|s| s.labels.to_bytes());
-        Ok((out, ids.len()))
+        self.execute(selectors, start, end, |id, source, chunks| match source {
+            Source::Series(labels, head) => {
+                self.aggregate_series(id, labels, head, chunks, kind, start, end, step_ms)
+            }
+            Source::Group(matched, heads) => {
+                self.aggregate_group(id, matched, heads, chunks, kind, start, end, step_ms)
+            }
+        })
     }
 
     /// Whether a series' chunk set qualifies for pushdown: every chunk
@@ -1690,45 +1796,50 @@ impl TimeUnion {
     fn aggregate_series(
         &self,
         id: SeriesId,
+        labels: &Labels,
+        head: &[Sample],
+        chunks: &[(Timestamp, Vec<u8>)],
         kind: AggKind,
         start: Timestamp,
         end: Timestamp,
         step_ms: i64,
     ) -> Result<Vec<SeriesResult>> {
-        let Some(obj) = self.series.get(&id) else {
-            return Ok(Vec::new());
-        };
-        let from = start.saturating_sub(self.query_slack());
-        let chunks = self.tree.range_chunks(id, from, end)?;
-        let (head, labels) = {
-            let o = obj.lock();
-            (o.head_samples(&self.series_arena)?, o.labels.clone())
-        };
         let stats: Vec<Option<ChunkStats>> = chunks
             .iter()
             .map(|(_, c)| agg::split_envelope(c).0)
             .collect();
         let head_pairs: Vec<(Timestamp, Value)> = head.iter().map(|s| (s.t, s.v)).collect();
-        let samples = if Self::pushdown_plan_ok(&stats, &[&head_pairs], start, end) {
-            self.fold_series_pushdown(&chunks, &stats, &head, kind, start, end, step_ms)?
-        } else {
-            // Reference fallback: materialize through the merger exactly
-            // like `query_series`, then fold.
-            let mut merger = SampleMerger::new(start, end);
-            for (_, chunk) in &chunks {
-                merger.offer_all(gorilla::decompress_chunk(chunk)?);
-            }
-            merger.offer_all(head);
-            aggregate_step(kind, &merger.finish(), start, end, step_ms)
-        };
+        if !Self::pushdown_plan_ok(&stats, &[&head_pairs], start, end) {
+            let rows = self.query_series(id, labels, head, chunks, start, end)?;
+            return Ok(Self::fold_rows(rows, kind, start, end, step_ms));
+        }
+        let samples = self.fold_series_pushdown(chunks, &stats, head, kind, start, end, step_ms)?;
         if samples.is_empty() {
             return Ok(Vec::new());
         }
         Ok(vec![SeriesResult {
             id,
-            labels,
+            labels: labels.clone(),
             samples,
         }])
+    }
+
+    /// The reference path for ids that fail `pushdown_plan_ok`: folds
+    /// the rows `query` materializes through [`aggregate_step`].
+    fn fold_rows(
+        rows: Vec<SeriesResult>,
+        kind: AggKind,
+        start: Timestamp,
+        end: Timestamp,
+        step_ms: i64,
+    ) -> Vec<SeriesResult> {
+        rows.into_iter()
+            .map(|row| SeriesResult {
+                samples: aggregate_step(kind, &row.samples, start, end, step_ms),
+                ..row
+            })
+            .filter(|row| !row.samples.is_empty())
+            .collect()
     }
 
     /// The per-series pushdown fold. Chunks arrive strictly ascending and
@@ -1845,84 +1956,22 @@ impl TimeUnion {
     fn aggregate_group(
         &self,
         gid: GroupId,
-        selectors: &[Selector],
+        matched: &[(SeriesRef, Labels)],
+        heads: &[Vec<(Timestamp, Value)>],
+        chunks: &[(Timestamp, Vec<u8>)],
         kind: AggKind,
         start: Timestamp,
         end: Timestamp,
         step_ms: i64,
     ) -> Result<Vec<SeriesResult>> {
-        let mut out = Vec::new();
-        let Some(obj) = self.groups.get(&gid) else {
-            return Ok(out);
-        };
-        let matched: Vec<(SeriesRef, Labels)> = {
-            let g = obj.lock();
-            g.members()
-                .filter_map(|(slot, unique)| {
-                    let full = g.group_tags.merge(unique);
-                    let ok = selectors
-                        .iter()
-                        .all(|sel| full.get(&sel.key).is_some_and(|v| sel.matches_value(v)));
-                    ok.then(|| (slot, full))
-                })
-                .collect()
-        };
-        if matched.is_empty() {
-            return Ok(out);
-        }
-        let from = start.saturating_sub(self.query_slack());
-        let chunks = self.tree.range_chunks(gid, from, end)?;
-        let heads: Vec<Vec<(Timestamp, Value)>> = {
-            let g = obj.lock();
-            matched
-                .iter()
-                .map(|(slot, _)| {
-                    g.head_samples_of(&self.group_ts_arena, &self.group_val_arena, *slot)
-                })
-                .collect::<Result<_>>()?
-        };
         let stats: Vec<Option<ChunkStats>> = chunks
             .iter()
             .map(|(_, c)| agg::split_envelope(c).0)
             .collect();
         let head_slices: Vec<&[(Timestamp, Value)]> = heads.iter().map(|h| h.as_slice()).collect();
         if !Self::pushdown_plan_ok(&stats, &head_slices, start, end) {
-            // Reference fallback: per-member mergers exactly like
-            // `query_group`, then fold.
-            let mut mergers: Vec<SampleMerger> = matched
-                .iter()
-                .map(|_| SampleMerger::new(start, end))
-                .collect();
-            for (_, chunk) in &chunks {
-                let dec = nullxor::GroupChunkDecoder::new(chunk)?;
-                let ts = dec.decode_timestamps()?;
-                for (mi, (slot, _)) in matched.iter().enumerate() {
-                    if (*slot as usize) < dec.columns() {
-                        let col = dec.decode_column(*slot as usize)?;
-                        for (t, v) in ts.iter().zip(col) {
-                            if let Some(v) = v {
-                                mergers[mi].offer(*t, v);
-                            }
-                        }
-                    }
-                }
-            }
-            for (mi, head) in heads.iter().enumerate() {
-                for &(t, v) in head {
-                    mergers[mi].offer(t, v);
-                }
-            }
-            for ((_, full), merger) in matched.into_iter().zip(mergers) {
-                let samples = aggregate_step(kind, &merger.finish(), start, end, step_ms);
-                if !samples.is_empty() {
-                    out.push(SeriesResult {
-                        id: gid,
-                        labels: full,
-                        samples,
-                    });
-                }
-            }
-            return Ok(out);
+            let rows = self.query_group(gid, matched, heads, chunks, start, end)?;
+            return Ok(Self::fold_rows(rows, kind, start, end, step_ms));
         }
         let mut wins: Vec<StepWindows> = matched
             .iter()
@@ -1988,12 +2037,13 @@ impl TimeUnion {
                 wins[mi].observe(t, v);
             }
         }
-        for ((_, full), w) in matched.into_iter().zip(wins) {
+        let mut out = Vec::new();
+        for ((_, full), w) in matched.iter().zip(wins) {
             let samples = w.finish(kind);
             if !samples.is_empty() {
                 out.push(SeriesResult {
                     id: gid,
-                    labels: full,
+                    labels: full.clone(),
                     samples,
                 });
             }
@@ -2174,6 +2224,8 @@ impl Drop for TimeUnion {
     fn drop(&mut self) {
         self.stop_serving();
         self.stop_background();
+        QUERY_WIDTHS.close(*self.query_threads.get_mut());
+        INGEST_WIDTHS.close(*self.ingest_threads.get_mut());
     }
 }
 

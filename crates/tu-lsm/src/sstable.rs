@@ -546,8 +546,9 @@ impl Table {
         Ok(entries)
     }
 
-    /// Loads blocks `first..=last` for a range scan, coalescing runs of
-    /// adjacent uncached blocks into single ranged store reads.
+    /// Loads the data blocks listed in `blocks` (ascending, distinct
+    /// indices) for a range scan, coalescing runs of adjacent uncached
+    /// blocks into single ranged store reads. Returns them in list order.
     ///
     /// Cache accounting matches the one-at-a-time path exactly: each block
     /// is probed once (one hit or one miss per block), and
@@ -556,27 +557,31 @@ impl Table {
     /// `k >= 2` adjacent misses costs one Get instead of `k` (the
     /// per-request term of Equations 4/6), surfaced as
     /// `lsm.readahead.coalesced_requests`/`coalesced_blocks`.
-    fn load_blocks(&self, first: usize, last: usize) -> Result<Vec<Block>> {
-        let mut out: Vec<Option<Block>> = vec![None; last - first + 1];
+    fn load_blocks(&self, blocks: &[usize]) -> Result<Vec<Block>> {
+        let mut out: Vec<Option<Block>> = vec![None; blocks.len()];
+        // Positions in `blocks` whose block is not cached.
         let mut missing: Vec<usize> = Vec::new();
-        for idx in first..=last {
+        for (pos, &idx) in blocks.iter().enumerate() {
             let (_, off, _) = self.index[idx];
             if let Some(cache) = &self.cache {
                 if let Some(hit) = cache.get(&self.cache_name, off) {
-                    out[idx - first] = Some(hit);
+                    out[pos] = Some(hit);
                     continue;
                 }
             }
-            missing.push(idx);
+            missing.push(pos);
         }
         let max_run = self.readahead_blocks.max(1);
         let mut i = 0;
         while i < missing.len() {
             let mut j = i + 1;
-            while j < missing.len() && missing[j] == missing[j - 1] + 1 && j - i < max_run {
+            while j < missing.len()
+                && blocks[missing[j]] == blocks[missing[j - 1]] + 1
+                && j - i < max_run
+            {
                 j += 1;
             }
-            self.fetch_run(&missing[i..j], first, &mut out)?;
+            self.fetch_run(blocks, &missing[i..j], &mut out)?;
             i = j;
         }
         out.into_iter()
@@ -584,14 +589,15 @@ impl Table {
             .collect()
     }
 
-    /// Fetches one run of adjacent uncached blocks from storage, parses
-    /// them, and inserts them into the cache.
-    fn fetch_run(&self, run: &[usize], first: usize, out: &mut [Option<Block>]) -> Result<()> {
+    /// Fetches one run of adjacent uncached blocks (`run` holds their
+    /// positions in `blocks`) from storage, parses them, and inserts them
+    /// into the cache.
+    fn fetch_run(&self, blocks: &[usize], run: &[usize], out: &mut [Option<Block>]) -> Result<()> {
         let frames = if run.len() >= 2 {
             let ranges: Vec<(u64, usize)> = run
                 .iter()
-                .map(|&idx| {
-                    let (_, off, len) = self.index[idx];
+                .map(|&pos| {
+                    let (_, off, len) = self.index[blocks[pos]];
                     (off, len as usize)
                 })
                 .collect();
@@ -599,18 +605,18 @@ impl Table {
             sst_obs().coalesced_blocks.add(run.len() as u64);
             self.source.read_multi(&ranges)?
         } else {
-            let (_, off, len) = self.index[run[0]];
+            let (_, off, len) = self.index[blocks[run[0]]];
             vec![self.source.read_at(off, len as usize)?]
         };
-        for (&idx, framed) in run.iter().zip(&frames) {
-            let (_, off, len) = self.index[idx];
+        for (&pos, framed) in run.iter().zip(&frames) {
+            let (_, off, len) = self.index[blocks[pos]];
             sst_obs().block_loads.inc();
             sst_obs().block_load_bytes.add(len);
             let entries = Arc::new(block_entries(&unframe_block(framed)?)?);
             if let Some(cache) = &self.cache {
                 cache.insert(&self.cache_name, off, entries.clone(), len as usize);
             }
-            out[idx - first] = Some(entries);
+            out[pos] = Some(entries);
         }
         Ok(())
     }
@@ -640,15 +646,65 @@ impl Table {
             .map(|i| entries[i].1.clone()))
     }
 
-    /// Iterates entries with keys in `[start, end)`.
-    ///
-    /// Both bounding blocks are located up front via the index, so the
-    /// needed block run is known before any data is fetched and adjacent
-    /// uncached blocks can be read ahead with coalesced store requests.
+    /// Iterates entries with keys in `[start, end)`: the one-range case
+    /// of [`Table::ranges`].
     pub fn range(&self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.ranges(&[(start, end)])
+    }
+
+    /// Iterates entries with keys in any of the `[start, end)` ranges,
+    /// which must be ascending and disjoint; entries come out in key
+    /// order.
+    ///
+    /// Every range's bounding blocks are located up front via the index,
+    /// and the union of those block spans is loaded once: a block shared
+    /// by neighbouring ranges is probed and fetched once, and adjacent
+    /// uncached blocks — within one range or across several — are read
+    /// ahead with coalesced store requests.
+    pub fn ranges<K: AsRef<[u8]>>(&self, ranges: &[(K, K)]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        debug_assert!(ranges
+            .windows(2)
+            .all(|w| w[0].1.as_ref() <= w[1].0.as_ref()));
         let mut out = Vec::new();
-        if self.index.is_empty() || start >= end {
+        // (start, end, first block, last block) of every non-empty range.
+        let mut spans = Vec::with_capacity(ranges.len());
+        let mut blocks: Vec<usize> = Vec::new();
+        for (start, end) in ranges {
+            let (start, end) = (start.as_ref(), end.as_ref());
+            if let Some((first, last)) = self.block_span(start, end) {
+                // Spans of ascending ranges ascend too, so extending past
+                // the previous span's last block keeps `blocks` sorted
+                // and distinct.
+                let from = blocks.last().map_or(first, |&b| first.max(b + 1));
+                blocks.extend(from..=last);
+                spans.push((start, end, first, last));
+            }
+        }
+        if blocks.is_empty() {
             return Ok(out);
+        }
+        let loaded = self.load_blocks(&blocks)?;
+        for (start, end, first, last) in spans {
+            let at = blocks.partition_point(|&b| b < first);
+            'span: for entries in &loaded[at..=at + (last - first)] {
+                for (k, v) in entries.iter() {
+                    if k.as_slice() >= end {
+                        break 'span;
+                    }
+                    if k.as_slice() >= start {
+                        out.push((k.clone(), v.clone()));
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The first and last data block that can hold keys in `[start, end)`,
+    /// or `None` when no block can.
+    fn block_span(&self, start: &[u8], end: &[u8]) -> Option<(usize, usize)> {
+        if self.index.is_empty() || start >= end {
+            return None;
         }
         let first_block = match self
             .index
@@ -658,7 +714,7 @@ impl Table {
             Err(i) => i,
         };
         if first_block >= self.index.len() {
-            return Ok(out);
+            return None;
         }
         // The first block whose last key reaches `end` is the final block
         // that can still hold keys `< end`; later blocks start past it.
@@ -669,17 +725,7 @@ impl Table {
             Ok(i) => i,
             Err(i) => i.min(self.index.len() - 1),
         };
-        for entries in self.load_blocks(first_block, last_block)? {
-            for (k, v) in entries.iter() {
-                if k.as_slice() >= end {
-                    return Ok(out);
-                }
-                if k.as_slice() >= start {
-                    out.push((k.clone(), v.clone()));
-                }
-            }
-        }
-        Ok(out)
+        Some((first_block, last_block))
     }
 
     /// Reads every entry (used by compaction). Fetches the whole data
@@ -949,6 +995,60 @@ mod tests {
             "{} vs {blocks}",
             d.get_requests
         );
+    }
+
+    #[test]
+    fn multi_range_scan_reads_the_block_union_once() {
+        // build_table puts 8 keys per id, so a few hundred neighbouring
+        // ids span many blocks. Scanning their key ranges together must
+        // return exactly the single-range results, in order, from one
+        // coalesced Get, where scanning them one by one pays a Get per
+        // range.
+        let (bytes, _) = build_table(5000);
+        let dir = tempfile::tempdir().unwrap();
+        let store = Arc::new(
+            ObjectStore::open(
+                dir.path().join("o"),
+                LatencyModel::s3(),
+                CostClock::new(LatencyMode::Virtual),
+            )
+            .unwrap(),
+        );
+        store.put("l2/sst", &bytes).unwrap();
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let t = Table::open(
+            TableSource::Object(store.clone(), "l2/sst".into()),
+            Some(cache.clone()),
+        )
+        .unwrap();
+        let ids: Vec<u64> = (100..400).step_by(3).collect();
+        let ranges: Vec<_> = ids
+            .iter()
+            .map(|&id| (encode_key(id, 1000), encode_key(id, 6000)))
+            .collect();
+
+        let before = store.stats();
+        let batched = t.ranges(&ranges).unwrap();
+        let cold = store.stats().since(&before);
+        assert_eq!(cold.get_requests, 1, "one coalesced Get for every range");
+
+        cache.clear();
+        let before = store.stats();
+        let mut one_by_one = Vec::new();
+        for (lo, hi) in &ranges {
+            one_by_one.extend(t.range(lo, hi).unwrap());
+        }
+        let single = store.stats().since(&before);
+        assert_eq!(batched, one_by_one);
+        assert_eq!(batched.len(), ids.len() * 5);
+        assert_eq!(
+            single.bytes_read, cold.bytes_read,
+            "same blocks, fewer requests"
+        );
+        assert!(single.get_requests > cold.get_requests);
+        // Empty and out-of-table ranges contribute nothing.
+        let none = [(encode_key(9_000, 0), encode_key(9_001, 0))];
+        assert!(t.ranges(&none).unwrap().is_empty());
     }
 
     #[test]

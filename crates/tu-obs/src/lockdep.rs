@@ -93,6 +93,7 @@ classes! {
     CLOUD_BLOCK_STATE = ("cloud.block.state", 90);
     CLOUD_OBJECT_STATE = ("cloud.object.state", 92);
     CORE_SELFMON_STATE = ("core.selfmon.state", 94);
+    CORE_POOL_WIDTHS = ("core.pool.widths", 95);
     OBS_MONITOR_SAMPLER = ("obs.monitor.sampler", 96);
     OBS_MONITOR_STATE = ("obs.monitor.state", 98);
     OBS_MONITOR_OBSERVERS = ("obs.monitor.observers", 100);
